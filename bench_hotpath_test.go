@@ -43,6 +43,7 @@ func warmSetup(tb testing.TB) (*uvmdiscard.Stream, uvmdiscard.Kernel) {
 func BenchmarkWarmKernelLaunch(b *testing.B) {
 	s, k := warmSetup(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Launch(k); err != nil {
 			b.Fatal(err)

@@ -44,10 +44,7 @@ import (
 	"uvmdiscard/internal/pcie"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
-	"uvmdiscard/internal/workloads/fir"
-	"uvmdiscard/internal/workloads/graph"
-	"uvmdiscard/internal/workloads/hashjoin"
-	"uvmdiscard/internal/workloads/radixsort"
+	"uvmdiscard/internal/workloads/suite"
 )
 
 var jsonOut = flag.Bool("json", false, "emit the result as JSON (for scripting)")
@@ -93,7 +90,7 @@ func main() {
 		defer writeMemProfile(*memprof)
 	}
 
-	sys, err := parseSystem(*system)
+	sys, err := workloads.ParseSystem(*system)
 	if err != nil {
 		fail(err)
 	}
@@ -118,21 +115,6 @@ func main() {
 	}
 
 	switch strings.ToLower(*workload) {
-	case "fir":
-		res, err := fir.RunCheckpointed(p, sys, fir.DefaultConfig(), ckptEnv)
-		if ckptEnv != nil && ckptEnv.Stats.Resumed {
-			fmt.Fprintf(os.Stderr, "uvmsim: resumed from step %d (%d steps executed this run)\n",
-				ckptEnv.Stats.ResumedFrom, ckptEnv.Stats.StepsExecuted)
-		}
-		report(res, err)
-	case "radixsort", "radix":
-		report(radixsort.Run(p, sys, radixsort.DefaultConfig()))
-	case "hashjoin", "hash":
-		report(hashjoin.Run(p, sys, hashjoin.DefaultConfig()))
-	case "graph", "bfs":
-		cfg := graph.DefaultConfig()
-		cfg.ReadMostlyEdges = *readMost
-		report(graph.Run(p, sys, cfg))
 	case "infer", "inference":
 		total, err := units.Parse(*weights)
 		if err != nil {
@@ -144,7 +126,7 @@ func main() {
 		})
 		reportTrain(r, err)
 	case "dl", "dnn":
-		m, err := parseModel(*model)
+		m, err := dnn.ParseModel(*model)
 		if err != nil {
 			fail(err)
 		}
@@ -158,19 +140,29 @@ func main() {
 		})
 		reportTrain(r, err)
 	default:
-		fail(fmt.Errorf("unknown workload %q", *workload))
+		spec, ok := suite.Lookup(*workload)
+		if !ok {
+			fail(fmt.Errorf("unknown workload %q", *workload))
+		}
+		res, err := spec.Run(p, sys, suite.Opts{Checkpoint: ckptEnv, ReadMostlyEdges: *readMost})
+		if ckptEnv != nil && ckptEnv.Stats.Resumed {
+			fmt.Fprintf(os.Stderr, "uvmsim: resumed from step %d (%d steps executed this run)\n",
+				ckptEnv.Stats.ResumedFrom, ckptEnv.Stats.StepsExecuted)
+		}
+		report(res, err)
 	}
 }
 
 // checkpointEnv wires the -checkpoint-out/-restore flags into a checkpoint
-// environment, or nil when neither flag is set. Both are fir-only: the
-// snapshot digest covers the whole deterministic simulation, which rules out
-// fault injection, and the step-boundary consistency points are fir's.
+// environment, or nil when neither flag is set. Both need a checkpointable
+// workload (the step-boundary consistency points are the workload's), and
+// the snapshot digest covers the whole deterministic simulation, which
+// rules out fault injection.
 func checkpointEnv(out, restore, workload, faults string) (*checkpoint.Env, error) {
 	if out == "" && restore == "" {
 		return nil, nil
 	}
-	if wl := strings.ToLower(workload); wl != "fir" {
+	if spec, ok := suite.Lookup(workload); !ok || !spec.Checkpointable {
 		return nil, fmt.Errorf("-checkpoint-out/-restore support the fir workload only (got %q)", workload)
 	}
 	if faults != "" {
@@ -193,32 +185,6 @@ func checkpointEnv(out, restore, workload, faults string) (*checkpoint.Env, erro
 		env.Restore = blob
 	}
 	return env, nil
-}
-
-func parseSystem(s string) (workloads.System, error) {
-	for _, sys := range []workloads.System{
-		workloads.UVMOpt, workloads.UvmDiscard, workloads.UvmDiscardLazy,
-		workloads.NoUVM, workloads.PyTorchLMS,
-	} {
-		if strings.EqualFold(sys.String(), s) {
-			return sys, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown system %q", s)
-}
-
-func parseModel(s string) (*dnn.ModelSpec, error) {
-	switch strings.ToLower(s) {
-	case "vgg16", "vgg-16":
-		return dnn.VGG16(), nil
-	case "darknet19", "darknet-19":
-		return dnn.Darknet19(), nil
-	case "resnet53", "resnet-53":
-		return dnn.ResNet53(), nil
-	case "rnn":
-		return dnn.RNN(), nil
-	}
-	return nil, fmt.Errorf("unknown model %q", s)
 }
 
 func report(r workloads.Result, err error) {

@@ -30,7 +30,10 @@ func main() {
 	)
 	flag.Parse()
 
-	spec := pickModel(*model)
+	spec, err := dnn.ParseModel(*model)
+	if err != nil {
+		log.Fatal(err)
+	}
 	p := workloads.Platform{GPU: gpudev.RTX3080Ti(), Gen: pcie.Gen4}
 	if strings.EqualFold(*gpu, "gtx1070") {
 		p = workloads.Platform{GPU: gpudev.GTX1070(), Gen: pcie.Gen3}
@@ -78,19 +81,4 @@ func main() {
 
 func cell(r dnn.TrainResult) string {
 	return fmt.Sprintf("%.0f img/s %6.1fGB", r.Throughput, r.TrafficGB())
-}
-
-func pickModel(name string) *dnn.ModelSpec {
-	switch strings.ToLower(name) {
-	case "vgg16", "vgg-16":
-		return dnn.VGG16()
-	case "darknet19", "darknet-19":
-		return dnn.Darknet19()
-	case "resnet53", "resnet-53":
-		return dnn.ResNet53()
-	case "rnn":
-		return dnn.RNN()
-	}
-	log.Fatalf("unknown model %q", name)
-	return nil
 }

@@ -15,6 +15,30 @@ var paperAllocations = map[string][2][2]float64{
 	"RNN":        {{150, 10.2}, {300, 20.0}},
 }
 
+func TestParseModel(t *testing.T) {
+	for name, want := range map[string]string{
+		"vgg16": "VGG-16", "VGG-16": "VGG-16",
+		"darknet19": "Darknet-19", "darknet-19": "Darknet-19",
+		"resnet53": "ResNet-53", "ResNet-53": "ResNet-53",
+		"RNN": "RNN", "rnn": "RNN",
+	} {
+		m, err := ParseModel(name)
+		if err != nil {
+			t.Errorf("ParseModel(%q): %v", name, err)
+			continue
+		}
+		if m.Name != want {
+			t.Errorf("ParseModel(%q) = %s, want %s", name, m.Name, want)
+		}
+		if err := m.Validate(); err != nil {
+			t.Errorf("ParseModel(%q) invalid: %v", name, err)
+		}
+	}
+	if _, err := ParseModel("gpt"); err == nil {
+		t.Error("unknown model accepted")
+	}
+}
+
 func TestZooValidates(t *testing.T) {
 	for _, m := range Zoo() {
 		if err := m.Validate(); err != nil {

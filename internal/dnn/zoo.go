@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"fmt"
+	"strings"
 
 	"uvmdiscard/internal/units"
 )
@@ -183,4 +184,15 @@ func RNN() *ModelSpec {
 // Zoo returns all four networks in the paper's order.
 func Zoo() []*ModelSpec {
 	return []*ModelSpec{VGG16(), Darknet19(), ResNet53(), RNN()}
+}
+
+// ParseModel resolves a zoo network by its name, ignoring case, with or
+// without the hyphen: VGG-16/vgg16, Darknet-19, ResNet-53 or RNN.
+func ParseModel(name string) (*ModelSpec, error) {
+	for _, m := range Zoo() {
+		if strings.EqualFold(name, m.Name) || strings.EqualFold(name, strings.ReplaceAll(m.Name, "-", "")) {
+			return m, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown model %q", name)
 }

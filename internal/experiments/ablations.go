@@ -26,13 +26,7 @@ func init() {
 // the LRU queue makes the eviction process swap live data out while free
 // discarded chunks sit idle — traffic rises toward the no-discard level.
 func runAblationEvictionOrder(o Options) (*Table, error) {
-	cfg := fir.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.InputBytes = 512 * units.MiB
-		cfg.WindowBytes = 64 * units.MiB
-		gpu = gpudev.Generic(1536 * units.MiB)
-	}
+	cfg, gpu := fir.Sized(o.Quick)
 	orders := []struct {
 		name  string
 		order []metrics.EvictSource
@@ -69,13 +63,7 @@ func runAblationEvictionOrder(o Options) (*Table, error) {
 // delayed reclamation lets re-accessed buffers recover their chunks without
 // re-zeroing or re-populating.
 func runAblationImmediateReclaim(o Options) (*Table, error) {
-	cfg := radixsort.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.DataBytes = 256 * units.MiB
-		cfg.StripBytes = 32 * units.MiB
-		gpu = gpudev.Generic(768 * units.MiB)
-	}
+	cfg, gpu := radixsort.Sized(o.Quick)
 	t := &Table{
 		ID:     "A2",
 		Title:  "Ablation: delayed vs immediate reclamation (Radix-sort @<100%, UvmDiscard)",
@@ -241,13 +229,7 @@ func init() {
 // the fault-service latency per block; large batches amortize it — the
 // batching the real driver performs when the GPU reports faults (§2.2).
 func runAblationFaultBatch(o Options) (*Table, error) {
-	cfg := radixsort.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.DataBytes = 256 * units.MiB
-		cfg.StripBytes = 32 * units.MiB
-		gpu = gpudev.Generic(768 * units.MiB)
-	}
+	cfg, gpu := radixsort.Sized(o.Quick)
 	t := &Table{
 		ID:     "A5",
 		Title:  "Ablation: fault-service batch size (Radix-sort @200%, UVM-opt)",

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"uvmdiscard/internal/core"
-	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/pcie"
-	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
 	"uvmdiscard/internal/workloads/radixsort"
 )
@@ -23,13 +21,7 @@ func init() {
 // served remotely and access counters migrate hot blocks — and shows that
 // discard keeps eliminating a similar share of traffic in both regimes.
 func runCoherentRemote(o Options) (*Table, error) {
-	cfg := radixsort.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.DataBytes = 256 * units.MiB
-		cfg.StripBytes = 32 * units.MiB
-		gpu = gpudev.Generic(768 * units.MiB)
-	}
+	cfg, gpu := radixsort.Sized(o.Quick)
 	t := &Table{
 		ID:    "X1",
 		Title: "Extension (§2.3/§3.2): coherent remote access still needs discard (Radix-sort @200%)",

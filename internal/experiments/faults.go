@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"uvmdiscard/internal/faultinject"
-	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/sim"
-	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
 	"uvmdiscard/internal/workloads/radixsort"
 )
@@ -28,13 +26,7 @@ func init() {
 // shareable; an Injector never is), and the driver is single-threaded per
 // run, so the tables are byte-identical at any runner parallelism.
 func runFaultResilience(o Options) (*Table, error) {
-	cfg := radixsort.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.DataBytes = 256 * units.MiB
-		cfg.StripBytes = 32 * units.MiB
-		gpu = gpudev.Generic(768 * units.MiB)
-	}
+	cfg, gpu := radixsort.Sized(o.Quick)
 	t := &Table{
 		ID:    "X8",
 		Title: "Extension (robustness): discard savings and recovery under injected faults (Radix-sort @200%)",

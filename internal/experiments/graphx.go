@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"uvmdiscard/internal/gpudev"
-	"uvmdiscard/internal/units"
+	"uvmdiscard/internal/pcie"
 	"uvmdiscard/internal/workloads"
 	"uvmdiscard/internal/workloads/graph"
 )
@@ -21,14 +20,8 @@ func init() {
 // instructive equivalence on read-only data that does not hold for the
 // paper's writable intermediates.
 func runGraphTraversal(o Options) (*Table, error) {
-	cfg := graph.DefaultConfig()
-	p := workloads.DefaultPlatform()
-	if o.Quick {
-		cfg.EdgeBytes = 512 * units.MiB
-		cfg.VertexBytes = 16 * units.MiB
-		p.GPU = gpudev.Generic(384 * units.MiB)
-	}
-	p = o.arm(p)
+	cfg, gpu := graph.Sized(o.Quick)
+	p := o.arm(workloads.Platform{GPU: gpu, Gen: pcie.Gen4})
 	t := &Table{
 		ID:    "X7",
 		Title: "Extension: out-of-core graph traversal (read-only edge partitions)",

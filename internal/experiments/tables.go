@@ -3,38 +3,31 @@ package experiments
 import (
 	"fmt"
 
-	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/pcie"
-	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
-	"uvmdiscard/internal/workloads/fir"
-	"uvmdiscard/internal/workloads/hashjoin"
-	"uvmdiscard/internal/workloads/radixsort"
+	"uvmdiscard/internal/workloads/suite"
 )
 
 func init() {
 	register(Experiment{ID: "T3", Name: "fir-runtime", Run: func(o Options) (*Table, error) {
-		return runtimeTable("T3", "Normalized runtime of FIR (PCIe-3/4)", firRunner(o), paperT3)
+		return runtimeTable("T3", "Normalized runtime of FIR (PCIe-3/4)", o, "fir", paperT3)
 	}})
 	register(Experiment{ID: "T4", Name: "fir-traffic", Run: func(o Options) (*Table, error) {
-		return trafficTable("T4", "PCIe traffic (GB) of FIR", firRunner(o), paperT4, !o.Quick)
+		return trafficTable("T4", "PCIe traffic (GB) of FIR", o, "fir", paperT4)
 	}})
 	register(Experiment{ID: "T5", Name: "radix-runtime", Run: func(o Options) (*Table, error) {
-		return runtimeTable("T5", "Normalized runtime of Radix-sort (PCIe-3/4)", radixRunner(o), paperT5)
+		return runtimeTable("T5", "Normalized runtime of Radix-sort (PCIe-3/4)", o, "radixsort", paperT5)
 	}})
 	register(Experiment{ID: "T6", Name: "radix-traffic", Run: func(o Options) (*Table, error) {
-		return trafficTable("T6", "PCIe traffic (GB) of Radix-sort", radixRunner(o), paperT6, !o.Quick)
+		return trafficTable("T6", "PCIe traffic (GB) of Radix-sort", o, "radixsort", paperT6)
 	}})
 	register(Experiment{ID: "T7", Name: "hashjoin-runtime", Run: func(o Options) (*Table, error) {
-		return runtimeTable("T7", "Normalized runtime of Hash-join (PCIe-3/4)", hashRunner(o), paperT7)
+		return runtimeTable("T7", "Normalized runtime of Hash-join (PCIe-3/4)", o, "hashjoin", paperT7)
 	}})
 	register(Experiment{ID: "T8", Name: "hashjoin-traffic", Run: func(o Options) (*Table, error) {
-		return trafficTable("T8", "PCIe traffic (GB) of Hash-join", hashRunner(o), paperT8, !o.Quick)
+		return trafficTable("T8", "PCIe traffic (GB) of Hash-join", o, "hashjoin", paperT8)
 	}})
 }
-
-// microRunner runs one micro-benchmark configuration.
-type microRunner func(p workloads.Platform, sys workloads.System) (workloads.Result, error)
 
 // Paper reference values, indexed [system][ovsp column]. Runtime entries
 // are "gen3/gen4" pairs; traffic entries are GB.
@@ -68,50 +61,6 @@ var (
 	}
 )
 
-func firRunner(o Options) microRunner {
-	cfg := fir.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.InputBytes = 512 * units.MiB
-		cfg.WindowBytes = 64 * units.MiB
-		gpu = gpudev.Generic(1536 * units.MiB)
-	}
-	return func(p workloads.Platform, sys workloads.System) (workloads.Result, error) {
-		p.GPU = gpu
-		return fir.Run(o.arm(p), sys, cfg)
-	}
-}
-
-func radixRunner(o Options) microRunner {
-	cfg := radixsort.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.DataBytes = 256 * units.MiB
-		cfg.StripBytes = 32 * units.MiB
-		gpu = gpudev.Generic(768 * units.MiB)
-	}
-	return func(p workloads.Platform, sys workloads.System) (workloads.Result, error) {
-		p.GPU = gpu
-		return radixsort.Run(o.arm(p), sys, cfg)
-	}
-}
-
-func hashRunner(o Options) microRunner {
-	cfg := hashjoin.DefaultConfig()
-	gpu := gpudev.RTX3080Ti()
-	if o.Quick {
-		cfg.TableBytes = 24 * units.MiB
-		cfg.IntermediateBytes = 80 * units.MiB
-		cfg.WorkspaceBytes = 110 * units.MiB
-		cfg.ResultBytes = 104 * units.MiB
-		gpu = gpudev.Generic(600 * units.MiB)
-	}
-	return func(p workloads.Platform, sys workloads.System) (workloads.Result, error) {
-		p.GPU = gpu
-		return hashjoin.Run(o.arm(p), sys, cfg)
-	}
-}
-
 var ovspColumns = []struct {
 	percent int
 	label   string
@@ -123,10 +72,12 @@ var tableSystems = []workloads.System{
 	workloads.UVMOpt, workloads.UvmDiscard, workloads.UvmDiscardLazy,
 }
 
-// runtimeTable builds a normalized-runtime table in the paper's layout:
-// one row per system, one column per oversubscription ratio, each cell a
-// PCIe-3/PCIe-4 pair normalized to UVM-opt at the same ratio.
-func runtimeTable(id, title string, run microRunner, paper map[workloads.System][4]string) (*Table, error) {
+// runtimeTable builds a normalized-runtime table of a registered workload
+// in the paper's layout: one row per system, one column per
+// oversubscription ratio, each cell a PCIe-3/PCIe-4 pair normalized to
+// UVM-opt at the same ratio.
+func runtimeTable(id, title string, o Options, workload string, paper map[workloads.System][4]string) (*Table, error) {
+	spec := suite.MustLookup(workload)
 	t := &Table{
 		ID:     id,
 		Title:  title,
@@ -143,7 +94,7 @@ func runtimeTable(id, title string, run microRunner, paper map[workloads.System]
 		for _, col := range ovspColumns {
 			for _, sys := range tableSystems {
 				p := workloads.Platform{Gen: gen, OversubPercent: col.percent}
-				r, err := run(p, sys)
+				r, err := spec.Run(o.arm(p), sys, suite.Opts{Quick: o.Quick})
 				if err != nil {
 					return nil, fmt.Errorf("%s %v %v %d%%: %w", id, gen, sys, col.percent, err)
 				}
@@ -171,11 +122,12 @@ func runtimeTable(id, title string, run microRunner, paper map[workloads.System]
 	return t, nil
 }
 
-// trafficTable builds a PCIe-traffic table (traffic is independent of the
-// PCIe generation in the driver model; the paper reports a single value).
-// When fullScale is false the absolute GB differ from the paper (sizes are
-// scaled down) and a note says so.
-func trafficTable(id, title string, run microRunner, paper map[workloads.System][4]string, fullScale bool) (*Table, error) {
+// trafficTable builds a PCIe-traffic table of a registered workload
+// (traffic is independent of the PCIe generation in the driver model; the
+// paper reports a single value). In quick mode the absolute GB differ from
+// the paper (sizes are scaled down) and a note says so.
+func trafficTable(id, title string, o Options, workload string, paper map[workloads.System][4]string) (*Table, error) {
+	spec := suite.MustLookup(workload)
 	t := &Table{
 		ID:     id,
 		Title:  title,
@@ -185,7 +137,7 @@ func trafficTable(id, title string, run microRunner, paper map[workloads.System]
 		row := []string{sys.String()}
 		for _, col := range ovspColumns {
 			p := workloads.Platform{Gen: pcie.Gen4, OversubPercent: col.percent}
-			r, err := run(p, sys)
+			r, err := spec.Run(o.arm(p), sys, suite.Opts{Quick: o.Quick})
 			if err != nil {
 				return nil, fmt.Errorf("%s %v %d%%: %w", id, sys, col.percent, err)
 			}
@@ -196,7 +148,7 @@ func trafficTable(id, title string, run microRunner, paper map[workloads.System]
 			t.AddRow("  (paper)", p[0], p[1], p[2], p[3])
 		}
 	}
-	if !fullScale {
+	if o.Quick {
 		t.Notes = append(t.Notes, "quick mode: sizes scaled down; compare ratios, not absolute GB")
 	}
 	return t, nil

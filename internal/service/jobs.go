@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -13,6 +14,8 @@ import (
 	"uvmdiscard/internal/metrics"
 	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/sim"
+	"uvmdiscard/internal/workloads"
+	"uvmdiscard/internal/workloads/suite"
 )
 
 type jobKind string
@@ -40,9 +43,9 @@ const (
 
 // RunRequest submits one workload simulation.
 type RunRequest struct {
-	// Workload is fir | radixsort | hashjoin | graph | spin. "spin" is a
-	// deliberately unterminated simulation used to exercise the watchdog:
-	// it only ever ends by cancellation, deadline, or sim budget.
+	// Workload is a name or alias from the internal/workloads/suite
+	// registry, stored canonical once validated, or "spin": the watchdog's
+	// unterminated fixture, ended only by cancel, deadline, or sim budget.
 	Workload string `json:"workload"`
 	// System is the memory-management system under test (UVM-opt,
 	// UvmDiscard, UvmDiscardLazy; workload-dependent). Defaults to UVM-opt.
@@ -71,12 +74,14 @@ type RunRequest struct {
 }
 
 func (r *RunRequest) validate() error {
-	switch r.Workload {
-	case "fir", "radixsort", "hashjoin", "graph", "spin":
-	default:
-		return fmt.Errorf("unknown workload %q (want fir, radixsort, hashjoin, graph, or spin)", r.Workload)
+	spec, ok := suite.Lookup(r.Workload)
+	switch {
+	case ok:
+		r.Workload = spec.Name
+	case r.Workload != "spin":
+		return fmt.Errorf("unknown workload %q (want %s, or spin)", r.Workload, strings.Join(suite.Names(), ", "))
 	}
-	if _, err := parseSystem(r.System); err != nil {
+	if _, err := workloads.ParseSystem(r.System); err != nil {
 		return err
 	}
 	if r.Ovsp < 0 || r.Ovsp > 1000 {
@@ -93,7 +98,7 @@ func (r *RunRequest) validate() error {
 		r.faults = cfg
 	}
 	if r.Checkpoint != "" {
-		if r.Workload != "fir" {
+		if !spec.Checkpointable {
 			return fmt.Errorf("checkpointing is supported for the fir workload only (got %q)", r.Workload)
 		}
 		if !journalName.MatchString(r.Checkpoint) {

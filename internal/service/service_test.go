@@ -290,6 +290,35 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// A registry alias is accepted and stored canonical, so the run summary's
+// workload field and the /metrics workload label never vary by spelling.
+func TestRunAliasStoredCanonical(t *testing.T) {
+	for alias, want := range map[string]string{"radix": "radixsort", "Hash": "hashjoin", "BFS": "graph", "FIR": "fir"} {
+		r := RunRequest{Workload: alias}
+		if err := r.validate(); err != nil || r.Workload != want {
+			t.Errorf("validate(%q): workload %q, err %v; want %q", alias, r.Workload, err, want)
+		}
+	}
+
+	_, ts := newTestService(t, Config{Workers: 1})
+	code, js := post(t, ts, "/v1/runs", RunRequest{Workload: "radix", Quick: true, System: "discard"})
+	if code != http.StatusAccepted {
+		t.Fatalf("alias submit: %d", code)
+	}
+	done := waitState(t, ts, js.ID, stateDone)
+	var sum runSummary
+	if err := json.Unmarshal([]byte(done.Output), &sum); err != nil {
+		t.Fatalf("summary %q: %v", done.Output, err)
+	}
+	if sum.Workload != "radixsort" || sum.System != "UvmDiscard" {
+		t.Errorf("summary names %s under %s, want radixsort under UvmDiscard", sum.Workload, sum.System)
+	}
+	label := `uvmsim_device_capacity_bytes{job="` + js.ID + `",workload="radixsort",device="gpu0"}`
+	if !strings.Contains(scrape(t, ts), label) {
+		t.Errorf("/metrics has no %s", label)
+	}
+}
+
 // In-process resume: a batch journaled under a name is skipped when a
 // superset batch reuses the journal, and the merged output is byte-
 // identical to an uninterrupted run of the full selection.

@@ -17,42 +17,8 @@ import (
 	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/workloads"
-	"uvmdiscard/internal/workloads/fir"
-	"uvmdiscard/internal/workloads/graph"
-	"uvmdiscard/internal/workloads/hashjoin"
-	"uvmdiscard/internal/workloads/radixsort"
+	"uvmdiscard/internal/workloads/suite"
 )
-
-func parseSystem(name string) (workloads.System, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "uvm-opt", "uvmopt":
-		return workloads.UVMOpt, nil
-	case "uvmdiscard", "discard":
-		return workloads.UvmDiscard, nil
-	case "uvmdiscardlazy", "lazy":
-		return workloads.UvmDiscardLazy, nil
-	case "no-uvm", "nouvm":
-		return workloads.NoUVM, nil
-	case "pytorch-lms", "lms":
-		return workloads.PyTorchLMS, nil
-	default:
-		return 0, fmt.Errorf("unknown system %q", name)
-	}
-}
-
-// platformFor builds the one-run platform: fresh control (the job's ctx +
-// budgets), fresh fault schedule reference, PCIe-4, and the job's live
-// metrics collector so the /metrics exporter can watch the run.
-func platformFor(req RunRequest, gpu gpudev.Profile, j *job) workloads.Platform {
-	return workloads.Platform{
-		GPU:            gpu,
-		Gen:            pcie.Gen4,
-		OversubPercent: req.Ovsp,
-		Faults:         req.faults,
-		Control:        j.control(),
-		Metrics:        j.collector(),
-	}
-}
 
 // runSummary is the JSON a finished single run reports.
 type runSummary struct {
@@ -68,7 +34,7 @@ type runSummary struct {
 
 func (s *Server) runWorkloadJob(j *job) (string, error) {
 	req := j.run
-	sys, err := parseSystem(req.System)
+	sys, err := workloads.ParseSystem(req.System)
 	if err != nil {
 		return "", err
 	}
@@ -76,66 +42,34 @@ func (s *Server) runWorkloadJob(j *job) (string, error) {
 	// completion the counters fold into the cumulative totals.
 	col := s.beginRun(j, req.Workload)
 	defer s.endRun(j)
-	var res workloads.Result
-	switch req.Workload {
-	case "spin":
+	if req.Workload == "spin" {
 		// Spin never completes on its own; its only exits are the
 		// structured ones (cancel, wall deadline, sim budget).
 		return "", runSpin(j.control(), col)
-	case "fir":
-		cfg := fir.DefaultConfig()
-		gpu := gpudev.RTX3080Ti()
-		if req.Quick {
-			cfg.InputBytes = 512 * units.MiB
-			cfg.WindowBytes = 64 * units.MiB
-			gpu = gpudev.Generic(1536 * units.MiB)
-		}
-		env := s.checkpointEnv(j)
-		res, err = fir.RunCheckpointed(platformFor(req, gpu, j), sys, cfg, env)
-		if env != nil {
-			if env.Stats.Resumed {
-				j.addResumed(1)
-				s.sc.Resumed.Add(1)
-			}
-			if err == nil {
-				// Clean completion leaves nothing to resume; reclaim the file
-				// now rather than waiting for retention eviction.
-				if rerr := os.Remove(j.ckpt); rerr != nil && !os.IsNotExist(rerr) {
-					s.logf("job %s: remove finished checkpoint %s: %v", j.id, j.ckpt, rerr)
-				}
-			}
-		}
-	case "radixsort":
-		cfg := radixsort.DefaultConfig()
-		gpu := gpudev.RTX3080Ti()
-		if req.Quick {
-			cfg.DataBytes = 256 * units.MiB
-			cfg.StripBytes = 32 * units.MiB
-			gpu = gpudev.Generic(768 * units.MiB)
-		}
-		res, err = radixsort.Run(platformFor(req, gpu, j), sys, cfg)
-	case "hashjoin":
-		cfg := hashjoin.DefaultConfig()
-		gpu := gpudev.RTX3080Ti()
-		if req.Quick {
-			cfg.TableBytes = 24 * units.MiB
-			cfg.IntermediateBytes = 80 * units.MiB
-			cfg.WorkspaceBytes = 110 * units.MiB
-			cfg.ResultBytes = 104 * units.MiB
-			gpu = gpudev.Generic(600 * units.MiB)
-		}
-		res, err = hashjoin.Run(platformFor(req, gpu, j), sys, cfg)
-	case "graph":
-		cfg := graph.DefaultConfig()
-		gpu := gpudev.RTX3080Ti()
-		if req.Quick {
-			cfg.EdgeBytes = 512 * units.MiB
-			cfg.VertexBytes = 16 * units.MiB
-			gpu = gpudev.Generic(384 * units.MiB)
-		}
-		res, err = graph.Run(platformFor(req, gpu, j), sys, cfg)
-	default:
+	}
+	spec, ok := suite.Lookup(req.Workload)
+	if !ok {
 		return "", fmt.Errorf("unknown workload %q", req.Workload)
+	}
+	// A fresh control (the job's ctx + budgets), PCIe-4, and the job's live
+	// collector so the /metrics exporter can watch the run; the GPU is the
+	// workload sizing's.
+	p := workloads.Platform{Gen: pcie.Gen4, OversubPercent: req.Ovsp, Faults: req.faults,
+		Control: j.control(), Metrics: col}
+	env := s.checkpointEnv(j)
+	res, err := spec.Run(p, sys, suite.Opts{Quick: req.Quick, Checkpoint: env})
+	if env != nil {
+		if env.Stats.Resumed {
+			j.addResumed(1)
+			s.sc.Resumed.Add(1)
+		}
+		if err == nil {
+			// Clean completion leaves nothing to resume; reclaim the file
+			// now rather than waiting for retention eviction.
+			if rerr := os.Remove(j.ckpt); rerr != nil && !os.IsNotExist(rerr) {
+				s.logf("job %s: remove finished checkpoint %s: %v", j.id, j.ckpt, rerr)
+			}
+		}
 	}
 	if err != nil {
 		return "", err

@@ -18,6 +18,7 @@ import (
 	"uvmdiscard/internal/checkpoint"
 	"uvmdiscard/internal/core"
 	"uvmdiscard/internal/cuda"
+	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
@@ -43,6 +44,17 @@ func DefaultConfig() Config {
 		WindowBytes: 256 * units.MiB,
 		FilterRate:  28e9,
 	}
+}
+
+// Sized returns FIR's paper setup on the RTX 3080 Ti or, with quick,
+// an 8-window run on a proportionally smaller device.
+func Sized(quick bool) (Config, gpudev.Profile) {
+	cfg := DefaultConfig()
+	if !quick {
+		return cfg, gpudev.RTX3080Ti()
+	}
+	cfg.InputBytes, cfg.WindowBytes = 512*units.MiB, 64*units.MiB
+	return cfg, gpudev.Generic(1536 * units.MiB)
 }
 
 // Footprint returns the application's GPU memory consumption: the input

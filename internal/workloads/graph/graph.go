@@ -23,6 +23,7 @@ import (
 
 	"uvmdiscard/internal/core"
 	"uvmdiscard/internal/cuda"
+	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
@@ -58,6 +59,17 @@ func DefaultConfig() Config {
 		},
 		ScanRate: 120e9,
 	}
+}
+
+// Sized returns the traversal's default on the RTX 3080 Ti or, with quick,
+// a 512 MiB edge array that still streams past a 384 MiB device.
+func Sized(quick bool) (Config, gpudev.Profile) {
+	cfg := DefaultConfig()
+	if !quick {
+		return cfg, gpudev.RTX3080Ti()
+	}
+	cfg.EdgeBytes, cfg.VertexBytes = 512*units.MiB, 16*units.MiB
+	return cfg, gpudev.Generic(384 * units.MiB)
 }
 
 // Footprint is the application's GPU memory consumption.

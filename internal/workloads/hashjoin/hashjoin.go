@@ -31,6 +31,7 @@ import (
 
 	"uvmdiscard/internal/core"
 	"uvmdiscard/internal/cuda"
+	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
@@ -70,6 +71,18 @@ func DefaultConfig() Config {
 		Batches:           3,
 		Rate:              60e9,
 	}
+}
+
+// Sized returns Hash-join's paper setup on the RTX 3080 Ti or, with quick,
+// scaled-down buffers on a proportionally smaller device.
+func Sized(quick bool) (Config, gpudev.Profile) {
+	cfg := DefaultConfig()
+	if !quick {
+		return cfg, gpudev.RTX3080Ti()
+	}
+	cfg.TableBytes, cfg.IntermediateBytes = 24*units.MiB, 80*units.MiB
+	cfg.WorkspaceBytes, cfg.ResultBytes = 110*units.MiB, 104*units.MiB
+	return cfg, gpudev.Generic(600 * units.MiB)
 }
 
 // Footprint is the application's GPU memory consumption.

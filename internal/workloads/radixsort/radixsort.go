@@ -24,6 +24,7 @@ import (
 
 	"uvmdiscard/internal/core"
 	"uvmdiscard/internal/cuda"
+	"uvmdiscard/internal/gpudev"
 	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/sim"
 	"uvmdiscard/internal/units"
@@ -58,6 +59,17 @@ func DefaultConfig() Config {
 		StripBytes: 256 * units.MiB,
 		SortRate:   350e9,
 	}
+}
+
+// Sized returns Radix-sort's paper setup on the RTX 3080 Ti or, with quick,
+// a scaled-down sort on a proportionally smaller device.
+func Sized(quick bool) (Config, gpudev.Profile) {
+	cfg := DefaultConfig()
+	if !quick {
+		return cfg, gpudev.RTX3080Ti()
+	}
+	cfg.DataBytes, cfg.StripBytes = 256*units.MiB, 32*units.MiB
+	return cfg, gpudev.Generic(768 * units.MiB)
 }
 
 // Footprint is the application's GPU memory consumption: data + temp.

@@ -2,11 +2,13 @@
 // (§7.1): the systems under test, the platform description (GPU profile,
 // PCIe generation, oversubscription ratio), and the result record every
 // benchmark produces. The concrete workloads live in subpackages (fir,
-// radixsort, hashjoin) and in internal/dnn.
+// radixsort, hashjoin, graph, listed once in workloads/suite) and in
+// internal/dnn.
 package workloads
 
 import (
 	"fmt"
+	"strings"
 
 	"uvmdiscard/internal/advisor"
 	"uvmdiscard/internal/core"
@@ -55,6 +57,24 @@ func (s System) String() string {
 	default:
 		return fmt.Sprintf("System(%d)", int(s))
 	}
+}
+
+// ParseSystem resolves a system name: any paper spelling in any case, the
+// short aliases uvmopt, discard, lazy, nouvm and lms, and "" for UVM-opt.
+func ParseSystem(name string) (System, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "", "uvm-opt", "uvmopt":
+		return UVMOpt, nil
+	case "uvmdiscard", "discard":
+		return UvmDiscard, nil
+	case "uvmdiscardlazy", "lazy":
+		return UvmDiscardLazy, nil
+	case "no-uvm", "nouvm":
+		return NoUVM, nil
+	case "pytorch-lms", "lms":
+		return PyTorchLMS, nil
+	}
+	return 0, fmt.Errorf("unknown system %q", name)
 }
 
 // UsesDiscard reports whether the system issues discard directives.

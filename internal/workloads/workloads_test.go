@@ -39,6 +39,40 @@ func TestSystemStrings(t *testing.T) {
 	}
 }
 
+func TestParseSystem(t *testing.T) {
+	for name, want := range map[string]System{
+		"":               UVMOpt,
+		"UVM-opt":        UVMOpt,
+		"uvm-opt":        UVMOpt,
+		"uvmopt":         UVMOpt,
+		"UvmDiscard":     UvmDiscard,
+		"discard":        UvmDiscard,
+		"uvmdiscardlazy": UvmDiscardLazy,
+		"lazy":           UvmDiscardLazy,
+		"No-UVM":         NoUVM,
+		"nouvm":          NoUVM,
+		"PyTorch-LMS":    PyTorchLMS,
+		"lms":            PyTorchLMS,
+		" UvmDiscard ":   UvmDiscard,
+	} {
+		got, err := ParseSystem(name)
+		if err != nil || got != want {
+			t.Errorf("ParseSystem(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	// Every system's own String form round-trips.
+	for _, sys := range []System{UVMOpt, UvmDiscard, UvmDiscardLazy, NoUVM, PyTorchLMS} {
+		if got, err := ParseSystem(sys.String()); err != nil || got != sys {
+			t.Errorf("ParseSystem(%q) = %v, %v", sys.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"bogus", "uvm", "discard-lazy"} {
+		if _, err := ParseSystem(bad); err == nil {
+			t.Errorf("ParseSystem(%q) accepted", bad)
+		}
+	}
+}
+
 func TestDiscardHelpers(t *testing.T) {
 	p := Platform{GPU: gpudev.Generic(16 * units.MiB), Gen: pcie.Gen4}
 	ctx, err := p.NewContext(8 * units.MiB)
