@@ -162,9 +162,11 @@ func printRow(label string, r workloads.Result) {
 	fmt.Printf("%-8s %-12.2f %-12.2f %-12.2f %-12.1f %d (%d redundant)\n",
 		label, gb(a.Total()), gb(a.RequiredBytes), gb(a.Redundant()),
 		100*a.RedundantFraction(), a.TransferCount, a.RedundantCount)
-	if *advise && r.Advice != nil {
-		fmt.Println()
-		fmt.Print(r.Advice.String())
+	if *advise {
+		if adv := r.Advice(); adv != nil {
+			fmt.Println()
+			fmt.Print(adv.String())
+		}
 	}
 	dumpTrace(r)
 }

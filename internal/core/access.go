@@ -89,8 +89,8 @@ func (d *Driver) GPUAccessOn(gpu int, blocks []*vaspace.Block, mode AccessMode, 
 // value written after the discard is guaranteed to be seen (§4.1).
 func (d *Driver) CPUAccess(blocks []*vaspace.Block, mode AccessMode, now sim.Time) sim.Time {
 	cur := d.maybePoison(now)
-	for _, b := range blocks {
-		cur = d.cpuAccessBlock(b, mode, cur)
+	for i, b := range blocks {
+		cur = d.cpuAccessBlock(b, mode, cur, i == 0)
 	}
 	d.verify("CPUAccess")
 	return cur
@@ -107,16 +107,19 @@ func (d *Driver) CPUAccessRange(a *vaspace.Alloc, off, length uint64, mode Acces
 	}
 	cur := d.maybePoison(now)
 	for i := first; i <= last; i++ {
-		cur = d.cpuAccessBlock(a.Block(i), mode, cur)
+		cur = d.cpuAccessBlock(a.Block(i), mode, cur, i == first)
 	}
 	d.verify("CPUAccess")
 	return cur, nil
 }
 
 // cpuAccessBlock services one block of a host-side access: the shared body
-// of CPUAccess and CPUAccessRange.
-func (d *Driver) cpuAccessBlock(b *vaspace.Block, mode AccessMode, cur sim.Time) sim.Time {
-	d.checkpoint("CPUAccess", cur)
+// of CPUAccess and CPUAccessRange. The access's first block polls the run
+// control in full, the rest per block.
+func (d *Driver) cpuAccessBlock(b *vaspace.Block, mode AccessMode, cur sim.Time, first bool) sim.Time {
+	if first || !d.tick(cur) {
+		d.checkpoint("CPUAccess", cur)
+	}
 	cur = d.ensureCPUBlock(b, cur, metrics.CauseFault, mode.writes())
 	if mode.reads() {
 		d.record(cur, trace.CPURead, b, b.Bytes())
@@ -167,8 +170,10 @@ func (d *Driver) PrefetchToCPU(a *vaspace.Alloc, off, length uint64, now sim.Tim
 		return now, err
 	}
 	cur := now
-	for _, b := range blocks {
-		d.checkpoint("PrefetchToCPU", cur)
+	for i, b := range blocks {
+		if i == 0 || !d.tick(cur) {
+			d.checkpoint("PrefetchToCPU", cur)
+		}
 		cur = d.ensureCPUBlock(b, cur, metrics.CausePrefetch, false)
 	}
 	d.verify("PrefetchToCPU")

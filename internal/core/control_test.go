@@ -173,8 +173,114 @@ func TestInertControlIsByteIdentical(t *testing.T) {
 		return done, d.Metrics().Traffic()
 	}
 	bareT, bareB := run(nil)
-	ctlT, ctlB := run(runctl.New(context.Background(), 0, 0))
-	if bareT != ctlT || bareB != ctlB {
-		t.Fatalf("inert control changed the run: (%v,%d) vs (%v,%d)", bareT, bareB, ctlT, ctlB)
+	// Background is what experiments.RunAll attaches by default; a
+	// cancellable context is what paperbench, uvmsimd and uvmfleet attach.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, ctl := range map[string]*runctl.Control{
+		"background":  runctl.New(context.Background(), 0, 0),
+		"cancellable": runctl.New(ctx, 0, 0),
+	} {
+		if ctlT, ctlB := run(ctl); bareT != ctlT || bareB != ctlB {
+			t.Fatalf("inert %s control changed the run: (%v,%d) vs (%v,%d)", name, bareT, bareB, ctlT, ctlB)
+		}
+	}
+}
+
+// TestSimBudgetTripPointIsPinned stops the eviction workload on its sim
+// budget deep inside the per-block eviction train and pins exactly where:
+// the checkpoint the interrupt names, its simulated time, and the number of
+// checkpoints the run crossed. The constants were recorded before the
+// per-block checkpoints got their cheap fast path; the budget test on that
+// path must stop the run on the very same block.
+func TestSimBudgetTripPointIsPinned(t *testing.T) {
+	const gpuBlocks = 64
+	ref := controlDriver(t, gpuBlocks, nil)
+	fillDone, evictDone := evictionWorkload(t, ref, mustAlloc(t, ref, "buf", 2*gpuBlocks*units.BlockSize))
+	budget := fillDone + (evictDone-fillDone)/2
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctl := runctl.New(ctx, 0, budget)
+	d := controlDriver(t, gpuBlocks, ctl)
+	a := mustAlloc(t, d, "buf", 2*gpuBlocks*units.BlockSize)
+	err := func() (err error) {
+		defer runctl.Recover(&err)
+		evictionWorkload(t, d, a)
+		return nil
+	}()
+	i := runctl.AsInterrupt(err)
+	if i == nil || i.Reason != runctl.SimBudget {
+		t.Fatalf("budgeted run did not stop on its sim budget: %v", err)
+	}
+	prog, _ := ctl.Progress()
+	const (
+		wantOp      = "ensure-gpu"
+		wantSimTime = sim.Time(4970180)
+		wantChecks  = 191
+	)
+	if i.Op != wantOp || i.SimTime != wantSimTime || prog.Checks != wantChecks || !prog.Done {
+		t.Fatalf("trip at op %q, sim time %d, %d checks (done=%v); want %q, %d, %d",
+			i.Op, int64(i.SimTime), prog.Checks, prog.Done, wantOp, int64(wantSimTime), wantChecks)
+	}
+	if serr := d.CheckNow(); serr != nil {
+		t.Fatalf("sanitizer after interrupt: %v", serr)
+	}
+}
+
+// TestCancelWithinOneWallStride cancels the run's context from the progress
+// observer at the first progressStride publication of one long GPUAccess.
+// Per-block checkpoints poll the context only on the slow path, so the
+// cancel must be noticed within one wall-check stride (32 checkpoints) — the
+// one bound the per-block fast path relaxes — and the aborted state must be
+// sanitizer-clean.
+func TestCancelWithinOneWallStride(t *testing.T) {
+	const (
+		blocks          = 4096
+		progressStride  = 64 // runctl's progress-publication stride
+		wallCheckStride = 32 // runctl's slow-path stride
+	)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctl := runctl.New(ctx, 0, 0)
+	var canceledAt uint64
+	ctl.SetObserver(func(p runctl.Progress) {
+		if p.Checks == progressStride {
+			canceledAt = p.Checks
+			cancel()
+		}
+	})
+	d := controlDriver(t, blocks, ctl)
+	a := mustAlloc(t, d, "buf", blocks*units.BlockSize)
+	err := func() (err error) {
+		defer runctl.Recover(&err)
+		_, err = d.GPUAccess(a.Blocks(), Write, 0)
+		return err
+	}()
+	i := runctl.AsInterrupt(err)
+	if i == nil || i.Reason != runctl.Canceled {
+		t.Fatalf("canceled run did not interrupt: %v", err)
+	}
+	prog, _ := ctl.Progress()
+	if canceledAt == 0 || prog.Checks < canceledAt || prog.Checks > canceledAt+wallCheckStride {
+		t.Fatalf("cancel at checkpoint %d noticed at %d; want within %d", canceledAt, prog.Checks, wallCheckStride)
+	}
+	if serr := d.CheckNow(); serr != nil {
+		t.Fatalf("sanitizer after cancel: %v", serr)
+	}
+}
+
+// TestControlledRunRepublishesResidency checks that a controlled run
+// refreshes the per-device residency gauges by itself, on the checkpoint
+// stride, so a /metrics scrape of a live run sees current occupancy.
+func TestControlledRunRepublishesResidency(t *testing.T) {
+	d := controlDriver(t, 128, runctl.New(context.Background(), 0, 0))
+	a := mustAlloc(t, d, "buf", 100*units.BlockSize)
+	if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
+		t.Fatal(err)
+	}
+	res := d.Metrics().DeviceResidency()
+	if len(res) != 1 || res[0].UsedBytes == 0 {
+		t.Fatalf("no residency published during a controlled run: %+v", res)
 	}
 }

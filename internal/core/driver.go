@@ -96,9 +96,6 @@ type Driver struct {
 	// sampling stride (sanitizer.go). A Driver is single-threaded per
 	// run (see internal/experiments isolation rules), so no lock.
 	opCount uint64
-	// pubTick counts checkpoints for the residency-gauge publishing stride
-	// (see checkpoint / PublishResidency). Same single-threaded rule.
-	pubTick uint64
 
 	// Scratch buffers reused across driver operations so the hot path does
 	// not allocate per access. The rules (DESIGN.md §15): a scratch is
@@ -300,13 +297,16 @@ func (d *Driver) RestoreDeviceAlloc(bytes units.Size, chunks int) error {
 	return nil
 }
 
-// checkpoint polls the run control at a driver operation boundary. All
-// call sites sit at points where the memory-management state is
-// self-consistent (between per-block transitions, before an eviction pops a
-// queue), so an aborted run always passes the runtime sanitizer — the
-// invariant the service's deadline tests pin down. The abort is a typed
-// panic that runctl.Recover converts back into an error at the workload
-// boundary; it never escapes to callers as a panic.
+// checkpoint polls the run control at a driver operation boundary with the
+// full runctl.Control.Check. Every public operation polls here on entry (or
+// on its first block), so a cancel is honoured by the next operation; the
+// per-block sites of the inner loops poll through tick. All call sites sit
+// at points where the memory-management state is self-consistent (between
+// per-block transitions, before an eviction pops a queue), so an aborted
+// run always passes the runtime sanitizer — the invariant the service's
+// deadline tests pin down. The abort is a typed panic that runctl.Recover
+// converts back into an error at the workload boundary; it never escapes to
+// callers as a panic.
 func (d *Driver) checkpoint(op string, now sim.Time) {
 	if d.ctl == nil {
 		return
@@ -314,17 +314,26 @@ func (d *Driver) checkpoint(op string, now sim.Time) {
 	if i := d.ctl.Check(op, now); i != nil {
 		runctl.Abort(i)
 	}
-	// Controlled runs are service runs: republish the residency gauges on a
-	// stride so a /metrics scrape of a live run sees fresh per-device
-	// occupancy without a collector-mutex acquisition per driver operation.
-	d.pubTick++
-	if d.pubTick&(residencyPublishStride-1) == 0 {
+	// Republish the residency gauges on a stride so a /metrics scrape of a
+	// live service run sees fresh per-device occupancy without a
+	// collector-mutex acquisition per driver operation.
+	if d.ctl.Checks()%residencyPublishStride == 0 {
 		d.PublishResidency()
 	}
 }
 
-// residencyPublishStride is how many checkpoints elapse between residency
-// gauge refreshes; a power of two so the stride test is a mask.
+// tick is the fast path of the per-block checkpoints in the driver's inner
+// loops (runctl.Control.Tick). It reports whether the checkpoint is done;
+// on false the caller polls checkpoint at the same point. The sim budget
+// still trips on the same block as with checkpoint alone; a context cancel
+// is noticed within runctl's wall-check stride. Kept small enough to inline
+// into the loops.
+func (d *Driver) tick(now sim.Time) bool { return d.ctl == nil || d.ctl.Tick(now) }
+
+// residencyPublishStride is how many checkpoints of the run control elapse
+// between residency gauge refreshes. It must be a multiple of runctl's
+// 32-checkpoint slow-path stride, so every refresh falls on a checkpoint
+// that reaches checkpoint rather than only tick.
 const residencyPublishStride = 64
 
 // PublishResidency pushes every device's current queue occupancy into the

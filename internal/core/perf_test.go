@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"uvmdiscard/internal/gpudev"
+	"uvmdiscard/internal/runctl"
 	"uvmdiscard/internal/units"
 	"uvmdiscard/internal/vaspace"
 )
@@ -13,9 +15,9 @@ import (
 // matters because the DL sweeps push hundreds of thousands of block ops per
 // experiment.
 
-func benchDriver(b *testing.B, blocks int) (*Driver, *vaspace.Alloc) {
+func benchDriver(b *testing.B, blocks int, ctl *runctl.Control) (*Driver, *vaspace.Alloc) {
 	b.Helper()
-	d, err := New(Config{GPU: gpudev.Generic(units.Size(blocks) * units.BlockSize)})
+	d, err := New(Config{GPU: gpudev.Generic(units.Size(blocks) * units.BlockSize), Control: ctl})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -26,23 +28,39 @@ func benchDriver(b *testing.B, blocks int) (*Driver, *vaspace.Alloc) {
 	return d, a
 }
 
+// benchControlled runs body twice: bare, and under the run control that
+// paperbench, uvmsimd and uvmfleet attach to every run (a cancellable
+// context, no budgets), so the cost of run-control polling on the per-block
+// loops shows next to the loop itself.
+func benchControlled(b *testing.B, body func(b *testing.B, ctl *runctl.Control)) {
+	b.Run("Bare", func(b *testing.B) { body(b, nil) })
+	b.Run("Controlled", func(b *testing.B) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		body(b, runctl.New(ctx, 0, 0))
+	})
+}
+
 func BenchmarkDriverResidentHit(b *testing.B) {
-	d, a := benchDriver(b, 256)
-	if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
-		b.Fatal(err)
-	}
-	blocks := a.Blocks()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.GPUAccess(blocks, Read, 0); err != nil {
+	benchControlled(b, func(b *testing.B, ctl *runctl.Control) {
+		d, a := benchDriver(b, 256, ctl)
+		blocks := a.Blocks()
+		if _, err := d.GPUAccess(blocks, Write, 0); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.ReportMetric(float64(len(blocks)*b.N)/b.Elapsed().Seconds(), "blockops/s")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.GPUAccess(blocks, Read, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(blocks)*b.N)/b.Elapsed().Seconds(), "blockops/s")
+	})
 }
 
 func BenchmarkDriverMigrationPingPong(b *testing.B) {
-	d, a := benchDriver(b, 256)
+	d, a := benchDriver(b, 256, nil)
 	blocks := a.Blocks()
 	d.CPUAccess(blocks, Write, 0)
 	b.ResetTimer()
@@ -56,7 +74,7 @@ func BenchmarkDriverMigrationPingPong(b *testing.B) {
 }
 
 func BenchmarkDriverDiscardRecover(b *testing.B) {
-	d, a := benchDriver(b, 256)
+	d, a := benchDriver(b, 256, nil)
 	if _, err := d.GPUAccess(a.Blocks(), Write, 0); err != nil {
 		b.Fatal(err)
 	}
@@ -75,21 +93,24 @@ func BenchmarkDriverDiscardRecover(b *testing.B) {
 func BenchmarkDriverEvictionChurn(b *testing.B) {
 	// Footprint 2x capacity: every access round is all-miss with LRU
 	// evictions — the simulator's worst case.
-	d, err := New(Config{GPU: gpudev.Generic(64 * units.BlockSize)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := d.AllocManaged("churn", 128*units.BlockSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blocks := a.Blocks()
-	d.CPUAccess(blocks, Write, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.GPUAccess(blocks, Read, 0); err != nil {
+	benchControlled(b, func(b *testing.B, ctl *runctl.Control) {
+		d, err := New(Config{GPU: gpudev.Generic(64 * units.BlockSize), Control: ctl})
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.ReportMetric(float64(len(blocks)*b.N)/b.Elapsed().Seconds(), "blockops/s")
+		a, err := d.AllocManaged("churn", 128*units.BlockSize)
+		if err != nil {
+			b.Fatal(err)
+		}
+		blocks := a.Blocks()
+		d.CPUAccess(blocks, Write, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.GPUAccess(blocks, Read, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(blocks)*b.N)/b.Elapsed().Seconds(), "blockops/s")
+	})
 }

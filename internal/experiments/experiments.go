@@ -56,10 +56,11 @@ type Options struct {
 
 // arm attaches a fresh run control to a platform when the options carry a
 // cancellation or budget source; with nothing to enforce it returns p
-// unchanged, so default runs take the exact code path they always did.
-// Experiments call this at every Platform construction site — a control is
-// single-threaded mutable state and must never be shared across concurrent
-// runs, so each site gets its own.
+// unchanged, so a direct e.Run with zero options runs uncontrolled. RunAll
+// always fills in Ctx, so every run it schedules is controlled and pays
+// the driver's run-control polling. Experiments call this at every Platform
+// construction site — a control is single-threaded mutable state and must
+// never be shared across concurrent runs, so each site gets its own.
 func (o Options) arm(p workloads.Platform) workloads.Platform {
 	if o.Ctx == nil && o.WallBudget <= 0 && o.SimBudget <= 0 {
 		return p

@@ -1,10 +1,17 @@
 // Package runctl is the run-control (watchdog) layer for simulations that
 // must be cancellable and bounded: it carries a context.Context, an optional
 // wall-clock deadline, and an optional sim-time budget down into the driver
-// loop, which polls Check at its operation boundaries. A tripped control
-// aborts the run with a structured *Interrupt error — never an unrecovered
-// panic — at a point where the driver's invariants hold, so an aborted run
-// always passes the runtime sanitizer.
+// loop. A tripped control aborts the run with a structured *Interrupt error
+// — never an unrecovered panic — at a point where the driver's invariants
+// hold, so an aborted run always passes the runtime sanitizer.
+//
+// The driver polls in two tiers. Check is the full poll, made at the entry
+// of every public driver operation. Tick is the per-block poll of the
+// driver's inner loops: an inlined count and sim-budget compare that hands
+// over to Check on every wallCheckStride-th checkpoint, so the context,
+// wall clock, progress publication and observer run on exactly the call
+// indices a Check at every checkpoint would use. The one thing Tick defers
+// is noticing a context cancel, by at most wallCheckStride checkpoints.
 //
 // This is deliberately the only simulation-adjacent package allowed to read
 // the wall clock (see the simdet analyzer's allowlist): virtual time stays a
@@ -23,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -103,15 +111,18 @@ func AsInterrupt(err error) *Interrupt {
 	return nil
 }
 
-// wallCheckStride is how many Check calls elapse between wall-clock reads:
-// the context and sim-budget checks are branch-cheap and run every time,
-// while time.Now is only consulted every strideth call so the watchdog adds
-// no measurable overhead to the driver loop.
+// wallCheckStride is how many checkpoints elapse between wall-clock reads,
+// and the stride at which Tick hands over to the full Check. The per-block
+// checkpoints of a long run number in the hundreds of millions, and a full
+// Check on each cost about a fifth of the full-scale paper sweep; on Tick's
+// fast path a checkpoint costs an increment and two compares.
 const wallCheckStride = 32
 
-// progressStride is how many Check calls elapse between progress-snapshot
+// progressStride is how many checkpoints elapse between progress-snapshot
 // publications. Publishing allocates one Progress record, so it shares the
-// watchdog's philosophy: cheap per call, amortized heavier work.
+// watchdog's philosophy: cheap per call, amortized heavier work. It is a
+// multiple of wallCheckStride, so every publication falls on a checkpoint
+// Tick hands to Check.
 const progressStride = 64
 
 // Progress is a point-in-time observation of a run taken at a driver
@@ -140,12 +151,20 @@ type Progress struct {
 // read them through Progress — the one cross-goroutine surface of the type.
 type Control struct {
 	ctx          context.Context
+	done         <-chan struct{} // ctx.Done(), cached; nil when never canceled
 	wallDeadline time.Time
 	started      time.Time
 	simBudget    sim.Time
 	calls        uint64
 	tripped      *Interrupt
 	observe      func(Progress)
+
+	// Tick's fast-path state. nextSlow is the first checkpoint count Tick
+	// must hand to Check: the next multiple of wallCheckStride, or 0 before
+	// the first Check and once tripped. simLimit is simBudget, or the
+	// largest sim.Time when the budget is unlimited.
+	nextSlow uint64
+	simLimit sim.Time
 
 	prog atomic.Pointer[Progress]
 
@@ -161,7 +180,13 @@ type Control struct {
 // wallBudget and simBudget of zero mean unlimited. The wall-clock deadline
 // starts counting when New is called — construct the control at run start.
 func New(ctx context.Context, wallBudget time.Duration, simBudget sim.Time) *Control {
-	c := &Control{ctx: ctx, simBudget: simBudget}
+	c := &Control{ctx: ctx, simBudget: simBudget, simLimit: math.MaxInt64}
+	if ctx != nil {
+		c.done = ctx.Done()
+	}
+	if simBudget > 0 {
+		c.simLimit = simBudget
+	}
 	if wallBudget > 0 || simBudget > 0 {
 		c.started = time.Now()
 	}
@@ -238,6 +263,7 @@ func (c *Control) Check(op string, now sim.Time) *Interrupt {
 		return c.tripped
 	}
 	c.calls++
+	c.nextSlow = (c.calls | (wallCheckStride - 1)) + 1
 	if c.calls == 1 || c.calls%progressStride == 0 {
 		p := Progress{Op: op, SimTime: now, Checks: c.calls}
 		c.prog.Store(&p)
@@ -245,9 +271,9 @@ func (c *Control) Check(op string, now sim.Time) *Interrupt {
 			c.observe(p)
 		}
 	}
-	if c.ctx != nil {
+	if c.done != nil {
 		select {
-		case <-c.ctx.Done():
+		case <-c.done:
 			return c.trip(Canceled, op, now, c.ctx.Err())
 		default:
 		}
@@ -263,7 +289,36 @@ func (c *Control) Check(op string, now sim.Time) *Interrupt {
 	return nil
 }
 
+// Tick is the per-block checkpoint of the driver's inner loops, for a
+// non-nil control. It counts the checkpoint and reports true when the run
+// may continue with nothing else to do: the count is not a multiple of
+// wallCheckStride, not the first, the sim budget holds and the control has
+// not tripped. Otherwise it counts nothing and reports false, and the
+// caller must poll Check at this same checkpoint, which does the counting
+// and the full poll. So a sim-budget trip lands on the same checkpoint as
+// with Check alone, and progress, observer and wall-clock work happen on the
+// same counts; only a context cancel waits for the next Check, at most
+// wallCheckStride checkpoints away. Small enough to inline.
+func (c *Control) Tick(now sim.Time) bool {
+	n := c.calls + 1
+	if n >= c.nextSlow || now > c.simLimit {
+		return false
+	}
+	c.calls = n
+	return true
+}
+
+// Checks returns how many checkpoints the run has crossed: every Check and
+// every Tick that reported true. Safe on a nil receiver (zero).
+func (c *Control) Checks() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.calls
+}
+
 func (c *Control) trip(r Reason, op string, now sim.Time, cause error) *Interrupt {
+	c.nextSlow = 0 // every later Tick defers to Check, which returns the trip
 	var wall time.Duration
 	if !c.started.IsZero() {
 		wall = time.Since(c.started)

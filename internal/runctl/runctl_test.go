@@ -226,3 +226,93 @@ func TestObserverFiresAtPublicationPoints(t *testing.T) {
 		t.Fatal("nil control tripped")
 	}
 }
+
+// Tick's fast path hands every progress publication to Check only because
+// the progress stride is a multiple of the slow-path stride.
+func TestProgressStrideNestsInWallStride(t *testing.T) {
+	if progressStride%wallCheckStride != 0 {
+		t.Fatalf("progressStride %d is not a multiple of wallCheckStride %d", progressStride, wallCheckStride)
+	}
+}
+
+// pollTwoTier drives c the way the driver does: Check at an operation's
+// entry, Tick per block with Check on Tick's slow path.
+func pollTwoTier(c *Control, entry bool, op string, now sim.Time) *Interrupt {
+	if entry || !c.Tick(now) {
+		return c.Check(op, now)
+	}
+	return nil
+}
+
+// A run polled in two tiers sees the same progress observations, the same
+// sim-budget trip point and the same checkpoint count as one polled with a
+// full Check at every checkpoint.
+func TestTickMatchesCheck(t *testing.T) {
+	const budget = 5000 * sim.Microsecond
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var full, tiered []Progress
+	a := New(ctx, 0, budget)
+	a.SetObserver(func(p Progress) { full = append(full, p) })
+	b := New(ctx, 0, budget)
+	b.SetObserver(func(p Progress) { tiered = append(tiered, p) })
+
+	var tripA, tripB *Interrupt
+	for i := 0; tripA == nil; i++ {
+		entry := i%37 == 0 // an operation of 37 checkpoints: entry, then blocks
+		op := "ensure-gpu"
+		if entry {
+			op = "GPUAccess"
+		}
+		now := sim.Time(i) * sim.Microsecond
+		tripA = a.Check(op, now)
+		tripB = pollTwoTier(b, entry, op, now)
+		if (tripA == nil) != (tripB == nil) {
+			t.Fatalf("checkpoint %d: full poll tripped %v, two-tier %v", i, tripA, tripB)
+		}
+	}
+	if tripA.Op != tripB.Op || tripA.SimTime != tripB.SimTime || tripA.Reason != tripB.Reason {
+		t.Fatalf("trip points differ: full %+v, two-tier %+v", tripA, tripB)
+	}
+	if a.Checks() != b.Checks() || len(full) != len(tiered) {
+		t.Fatalf("full poll: %d checks, %d observations; two-tier: %d, %d",
+			a.Checks(), len(full), b.Checks(), len(tiered))
+	}
+	for i := range full {
+		if full[i] != tiered[i] {
+			t.Fatalf("observation %d: full %+v, two-tier %+v", i, full[i], tiered[i])
+		}
+	}
+	// Sticky on the fast path too: a tripped control never ticks through.
+	if b.Tick(0) || pollTwoTier(b, false, "evict", 0) != tripB {
+		t.Fatal("tripped control let a per-block checkpoint pass")
+	}
+}
+
+// A context cancel between operations is seen by the next operation's
+// entry Check; during per-block polling it is seen within wallCheckStride
+// checkpoints.
+func TestTickNoticesCancelWithinWallStride(t *testing.T) {
+	for _, entryFirst := range []bool{true, false} {
+		ctx, cancel := context.WithCancel(context.Background())
+		c := New(ctx, 0, 0)
+		for i := 0; i < 100; i++ {
+			if got := pollTwoTier(c, i == 0, "ensure-gpu", 0); got != nil {
+				t.Fatalf("tripped before cancel: %v", got)
+			}
+		}
+		cancel()
+		at := c.Checks()
+		var trip *Interrupt
+		for i := 0; trip == nil && i < 2*wallCheckStride; i++ {
+			trip = pollTwoTier(c, entryFirst && i == 0, "ensure-gpu", 0)
+		}
+		if trip == nil || trip.Reason != Canceled {
+			t.Fatalf("entryFirst=%v: cancel not noticed within %d checkpoints", entryFirst, 2*wallCheckStride)
+		}
+		lag := c.Checks() - at
+		if entryFirst && lag != 1 || lag > wallCheckStride {
+			t.Fatalf("entryFirst=%v: cancel noticed %d checkpoints later", entryFirst, lag)
+		}
+	}
+}

@@ -218,12 +218,12 @@ type Result struct {
 	FaultH2D, PrefetchH2D, EvictD2H, MigrateD2H, RemoteH2D, PeerBytes uint64
 	// Analysis is the RMT classification when tracing was enabled.
 	Analysis *trace.Analysis
-	// Advice holds the discard advisor's recommendations when tracing was
-	// enabled.
-	Advice *advisor.Report
 	// Trace is the raw driver trace when tracing was enabled (for JSON
 	// export and offline re-analysis).
 	Trace *trace.Recorder
+	// allocNames maps the traced run's allocation IDs to their names, as
+	// they stood at Collect, for Advice.
+	allocNames map[int]string
 
 	// Resilience counters, all zero when no fault schedule is attached:
 	// retried migrations, reissued unmaps, replayed fault rounds, transfers
@@ -239,6 +239,16 @@ type Result struct {
 
 // TrafficGB returns traffic in decimal GB, as the paper reports it.
 func (r Result) TrafficGB() float64 { return float64(r.TrafficBytes) / 1e9 }
+
+// Advice runs the discard advisor over the run's trace, naming buffers as
+// they were when the run was collected. It is nil when tracing was not
+// enabled. The advisor regroups the whole trace, so it runs only when asked.
+func (r Result) Advice() *advisor.Report {
+	if r.Trace == nil {
+		return nil
+	}
+	return advisor.Analyze(r.Trace, func(id int) string { return r.allocNames[id] })
+}
 
 // CollectSince is Collect with the runtime measured from a start timestamp,
 // so workloads can exclude input pre-processing the way the paper's
@@ -286,13 +296,11 @@ func Collect(sys System, ctx *cuda.Context) Result {
 		a := trace.Analyze(tr)
 		r.Analysis = &a
 		r.Trace = tr
-		space := ctx.Driver().Space()
-		r.Advice = advisor.Analyze(tr, func(id int) string {
-			if al := space.ByID(id); al != nil {
-				return al.Name()
-			}
-			return ""
-		})
+		live := ctx.Driver().Space().Live()
+		r.allocNames = make(map[int]string, len(live))
+		for _, al := range live {
+			r.allocNames[al.ID()] = al.Name()
+		}
 	}
 	return r
 }

@@ -180,7 +180,7 @@ func TestCollectSince(t *testing.T) {
 	}
 	ctx.DeviceSynchronize()
 	full := Collect(UVMOpt, ctx)
-	if full.Trace == nil || full.Analysis == nil || full.Advice == nil {
+	if full.Trace == nil || full.Analysis == nil || full.Advice() == nil {
 		t.Error("tracing artifacts missing")
 	}
 	later := CollectSince(UVMOpt, ctx, full.Runtime/2)
